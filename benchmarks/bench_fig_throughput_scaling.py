@@ -14,10 +14,10 @@ The speculative decode/execute overlap has its own gates:
 at >= 1.5x the batched commands/sec on the fault-free largest
 configuration (bit-identical results), and
 ``test_pipelined_graceful_under_persistent_faults`` bounds the degradation
-under a persistent 20% fault load at <= ~1.1x.  ``--pipelined`` smoke-runs
-the protocol/service sweeps through the pipelined mode, ``--traffic``
-enables the open-loop QoS benchmarks (weighted-fair slot shares, bounded
-queues, logical-tick latency percentiles), and ``--json PATH`` writes the
+under a persistent 20% fault load at <= ~1.1x.  The protocol and service
+sweeps run on the same speculative engine through ``run_rounds_batched``;
+``--traffic`` enables the open-loop QoS benchmarks (weighted-fair slot
+shares, bounded queues, logical-tick latency percentiles), and ``--json PATH`` writes the
 ``BENCH_throughput.json`` perf-trajectory artifact (now including the
 traffic percentiles and their gateable p99/p50 ratios).
 """
@@ -139,16 +139,15 @@ def test_batched_pipeline_speedup_bit_identical(field):
 
 
 def test_protocol_rows_end_to_end(
-    benchmark, batched_protocol, service_mode, pipelined_mode, consensus_oracle_mode
+    benchmark, batched_protocol, service_mode, consensus_oracle_mode
 ):
     """Full-protocol sweep (consensus + network + execution) stays correct.
 
     With ``--service`` the sweep submits the traffic through CSMService
     sessions and lets the round scheduler drive the batches; with
-    ``--batched-protocol`` it runs through ``CSMProtocol.run_rounds_batched``;
-    with ``--pipelined`` the execution phase runs through the speculative
-    decode/execute pipeline (combinable with ``--service``); without any,
-    the sequential loop.  ``--consensus-oracle`` additionally pins the
+    ``--batched-protocol`` it runs through ``CSMProtocol.run_rounds_batched``
+    (batched consensus plus the speculative execution engine); without
+    either, the sequential loop.  ``--consensus-oracle`` additionally pins the
     event-driven consensus reference path instead of the vectorised message
     plane (CI smoke-runs both).  In every mode each round must decode and
     deliver (no failed rounds), and the ``consensus_plane`` /
@@ -160,18 +159,15 @@ def test_protocol_rows_end_to_end(
         rounds=3,
         batched_protocol=batched_protocol,
         service=service_mode,
-        pipelined=pipelined_mode,
         vectorised_consensus=not consensus_oracle_mode,
     )
     if service_mode:
-        expected_mode = "service-pipelined" if pipelined_mode else "service"
-    elif pipelined_mode:
-        expected_mode = "pipelined"
+        expected_mode = "service"
     elif batched_protocol:
         expected_mode = "batched"
     else:
         expected_mode = "sequential"
-    batched_driver = service_mode or pipelined_mode or batched_protocol
+    batched_driver = service_mode or batched_protocol
     for row in rows:
         assert row["failed_rounds"] == 0
         assert row["throughput"] > 0
@@ -822,9 +818,6 @@ def test_throughput_json_artifact(json_artifact_path, shard_count):
     protocol_batched = scaling.protocol_rows(
         network_sizes=(8, 12), rounds=3, batched_protocol=True
     )
-    protocol_pipelined = scaling.protocol_rows(
-        network_sizes=(8, 12), rounds=3, pipelined=True
-    )
     service_rows = scaling.service_rows(network_sizes=(8, 12), rounds=3)
     sharded_rows = scaling.sharded_rows(
         network_sizes=(8, 12), rounds=3, shards=shard_count
@@ -847,6 +840,25 @@ def test_throughput_json_artifact(json_artifact_path, shard_count):
     }
     artifact = {
         "artifact": "BENCH_throughput",
+        "gate": {
+            "deterministic_modes": ["protocol-batched", "service"],
+            "wall_clock_modes": [
+                "engine-batched",
+                "engine-pipelined",
+                "consensus-vectorised",
+                "consensus-oracle",
+                "sharded",
+            ],
+            "ratio_metrics": [
+                ["pipelined_speedup_at_largest", "min"],
+                ["consensus_speedup_at_largest", "min"],
+                ["consensus_over_execution_at_largest", "max"],
+                # Open-loop tail-latency shape: p99/p50 in logical ticks,
+                # deterministic per traffic scenario.
+                ["traffic_p99_over_p50_commit", "max"],
+                ["traffic_p99_over_p50_execute", "max"],
+            ],
+        },
         "config": {
             "engine_sweep": {"network_sizes": [16, 32], "rounds": 16},
             "consensus_sweep": {"network_sizes": [16, 32], "rounds": 8},
@@ -867,7 +879,6 @@ def test_throughput_json_artifact(json_artifact_path, shard_count):
                 if row["consensus_plane"] == "oracle"
             },
             "protocol-batched": rate(protocol_batched, key="throughput"),
-            "protocol-pipelined": rate(protocol_pipelined, key="throughput"),
             "service": rate(service_rows, key="throughput"),
             "sharded": {
                 f"{row['mode']}@{row['N']}": row["commands_per_sec"]
@@ -928,7 +939,6 @@ def test_throughput_json_artifact(json_artifact_path, shard_count):
             "engine": engine_rows,
             "consensus": consensus_rows,
             "protocol_batched": protocol_batched,
-            "protocol_pipelined": protocol_pipelined,
             "service": service_rows,
             "sharded": sharded_rows,
         },

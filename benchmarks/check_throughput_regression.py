@@ -5,33 +5,23 @@ Compares a freshly generated artifact against the committed baseline at the
 repository root and fails (exit 1) when a tracked metric regresses by more
 than the tolerance (default 15%).
 
-Two classes of metric are gated differently:
+Every artifact declares what it gates under a top-level ``"gate"`` key —
+``{"deterministic_modes": [...], "wall_clock_modes": [...],
+"ratio_metrics": [[key, "min"|"max"], ...]}`` — and an artifact without
+one is an error.  The *baseline's* block is authoritative, so a current
+artifact cannot un-gate a metric: a gated mode, per-N key or ratio missing
+from the current artifact fails the gate.  Two classes of metric are gated
+differently:
 
-* **Deterministic throughput** (``protocol-batched``, ``protocol-pipelined``,
-  ``service`` — the paper metric, commands per unit per-node field
-  operation): a pure function of the protocol configuration, so it is
-  compared *raw* across machines.  Any drop beyond tolerance means the
-  protocol is doing more field operations per delivered command than the
-  baseline run did.
-* **Wall-clock rates** (``engine-*`` commands/sec, ``consensus-*``
-  decisions/sec, ``sharded``): machine-dependent, so by default only the
-  *self-normalised* ratios recorded inside each artifact are compared —
-  ``pipelined_speedup_at_largest``, ``consensus_speedup_at_largest`` (both
-  must not shrink beyond tolerance), ``consensus_over_execution_at_largest``
-  and the open-loop tail-latency shapes ``traffic_p99_over_p50_commit`` /
-  ``traffic_p99_over_p50_execute`` (none may grow beyond tolerance; the
-  latency ratios are logical-tick counts, deterministic per scenario).
-  Pass ``--raw`` to additionally gate the absolute rates when both
-  artifacts were produced on the same machine.
-
-An artifact may carry its own gate metadata under a top-level ``"gate"``
-key — ``{"deterministic_modes": [...], "wall_clock_modes": [...],
-"ratio_metrics": [[key, "min"|"max"], ...]}`` — in which case those lists
-replace the built-in tuples below (which describe the original
-``BENCH_throughput.json`` schema and remain the fallback for artifacts
-without a ``gate`` block).  This is how ``BENCH_delegation.json``,
-``BENCH_intermix.json`` and ``BENCH_boolean.json`` reuse this gate without
-it having to know their schemas.
+* **Deterministic modes** (e.g. the paper metric, commands per unit
+  per-node field operation): pure functions of the configuration, so they
+  are compared *raw* across machines and must not drop beyond tolerance.
+* **Wall-clock modes** (commands/sec, decisions/sec): machine-dependent, so
+  by default only the *self-normalised* ratio metrics recorded inside each
+  artifact are compared — ``"min"`` ratios must not shrink beyond
+  tolerance, ``"max"`` ratios must not grow beyond it.  Pass ``--raw`` to
+  additionally gate the absolute rates when both artifacts were produced on
+  the same machine.
 
 Usage::
 
@@ -46,37 +36,15 @@ import json
 import sys
 from pathlib import Path
 
-# Modes whose per-N values are deterministic functions of the configuration
-# (operation counts, not wall-clock) and therefore comparable across machines.
-DETERMINISTIC_MODES = ("protocol-batched", "protocol-pipelined", "service")
-
-# Modes whose per-N values are wall-clock rates: gated only under --raw.
-WALL_CLOCK_MODES = (
-    "engine-batched",
-    "engine-pipelined",
-    "consensus-vectorised",
-    "consensus-oracle",
-    "sharded",
-)
-
-# Self-normalised ratios: (key, direction) where direction "min" means the
-# current value must not fall more than tolerance below baseline and "max"
-# means it must not rise more than tolerance above it.
-RATIO_METRICS = (
-    ("pipelined_speedup_at_largest", "min"),
-    ("consensus_speedup_at_largest", "min"),
-    ("consensus_over_execution_at_largest", "max"),
-    # Open-loop tail-latency shape: p99/p50 in logical scheduler ticks — a
-    # deterministic function of the traffic scenario, so comparable across
-    # machines.  A rise means the tail got disproportionately worse (a QoS
-    # or scheduling regression) even if the medians moved together.
-    ("traffic_p99_over_p50_commit", "max"),
-    ("traffic_p99_over_p50_execute", "max"),
-)
+GATE_KEYS = ("deterministic_modes", "wall_clock_modes", "ratio_metrics")
 
 
 def _compare_value(name, baseline, current, tolerance, direction, failures):
-    if baseline is None or current is None:
+    if baseline is None:
+        failures.append(f"{name}: gated by the baseline but has no baseline value")
+        return
+    if current is None:
+        failures.append(f"{name}: gated by the baseline but missing from the current artifact")
         return
     baseline = float(baseline)
     current = float(current)
@@ -95,19 +63,22 @@ def _compare_value(name, baseline, current, tolerance, direction, failures):
 
 
 def gate_config(artifact: dict) -> tuple[tuple, tuple, tuple]:
-    """The (deterministic, wall-clock, ratio) gate lists for an artifact.
+    """The (deterministic, wall-clock, ratio) gate lists an artifact declares.
 
-    Self-describing artifacts carry them under ``"gate"``; artifacts
-    without one (the original ``BENCH_throughput.json``) use the built-in
-    tuples.
+    Raises ``ValueError`` when the artifact carries no complete ``"gate"``
+    block: an undeclared gate would silently check nothing.
     """
     gate = artifact.get("gate")
+    name = artifact.get("artifact", "artifact")
     if not isinstance(gate, dict):
-        return DETERMINISTIC_MODES, WALL_CLOCK_MODES, RATIO_METRICS
+        raise ValueError(f"{name} has no 'gate' block declaring its gated metrics")
+    missing = [key for key in GATE_KEYS if key not in gate]
+    if missing:
+        raise ValueError(f"{name} gate block lacks {', '.join(missing)}")
     return (
-        tuple(gate.get("deterministic_modes", ())),
-        tuple(gate.get("wall_clock_modes", ())),
-        tuple((str(key), str(direction)) for key, direction in gate.get("ratio_metrics", ())),
+        tuple(gate["deterministic_modes"]),
+        tuple(gate["wall_clock_modes"]),
+        tuple((str(key), str(direction)) for key, direction in gate["ratio_metrics"]),
     )
 
 
@@ -119,8 +90,14 @@ def compare(baseline: dict, current: dict, tolerance: float, raw: bool) -> list[
     deterministic, wall_clock, ratios = gate_config(baseline)
     modes = deterministic + (wall_clock if raw else ())
     for mode in modes:
-        base_mode = baseline.get("modes", {}).get(mode, {})
-        cur_mode = current.get("modes", {}).get(mode, {})
+        base_mode = baseline.get("modes", {}).get(mode)
+        if not base_mode:
+            failures.append(f"modes[{mode}]: gated but absent from the baseline")
+            continue
+        cur_mode = current.get("modes", {}).get(mode)
+        if cur_mode is None:
+            failures.append(f"modes[{mode}]: gated but missing from the current artifact")
+            continue
         for key, base_value in base_mode.items():
             _compare_value(
                 f"modes[{mode}][{key}]",
@@ -166,14 +143,18 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.current) as handle:
         current = json.load(handle)
 
-    failures = compare(baseline, current, args.tolerance, args.raw)
     name = baseline.get("artifact", "throughput")
+    try:
+        deterministic, wall_clock, ratios = gate_config(baseline)
+    except ValueError as exc:
+        print(f"{name} REGRESSION GATE MISCONFIGURED: {exc}")
+        return 1
+    failures = compare(baseline, current, args.tolerance, args.raw)
     if failures:
         print(f"{name} REGRESSION GATE FAILED:")
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    deterministic, wall_clock, ratios = gate_config(baseline)
     checked = len(deterministic) + len(ratios) + (
         len(wall_clock) if args.raw else 0
     )

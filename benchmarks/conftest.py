@@ -48,17 +48,6 @@ def pytest_addoption(parser):
     )
 
     parser.addoption(
-        "--pipelined",
-        action="store_true",
-        default=False,
-        help=(
-            "Drive the end-to-end protocol benchmarks through the "
-            "speculative decode/execute pipeline "
-            "(CSMProtocol.run_rounds_pipelined / CSMService(pipeline=True))."
-        ),
-    )
-
-    parser.addoption(
         "--consensus-only",
         action="store_true",
         default=False,
@@ -156,12 +145,6 @@ def service_mode(request) -> bool:
 def shard_count(request) -> int:
     """The ``--shards`` value for the sharded-service benchmarks."""
     return int(request.config.getoption("--shards"))
-
-
-@pytest.fixture(scope="session")
-def pipelined_mode(request) -> bool:
-    """Whether ``--pipelined`` was passed on the command line."""
-    return bool(request.config.getoption("--pipelined"))
 
 
 @pytest.fixture(scope="session")

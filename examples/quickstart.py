@@ -39,13 +39,13 @@ def main() -> None:
     protocol = CSMProtocol(config, machine, behaviors, rng=default_stream(7))
 
     # The service is the client-facing API: sessions submit ragged traffic,
-    # the scheduler batches it into rounds behind the scenes.  pipeline=True
-    # executes each tick through the speculative decode/execute pipeline —
-    # honest state advances from a pivot-only interpolation, verification is
-    # deferred to one stacked check per window, and a mismatch rolls back to
-    # the last verified checkpoint and re-executes deterministically — with
-    # ticket outcomes and round history bit-identical to the batched drive.
-    service = CSMService(protocol, pipeline=True)
+    # the scheduler batches it into rounds behind the scenes.  Each tick
+    # executes on the speculative decode/execute engine — honest state
+    # advances from a pivot-only interpolation, verification is deferred to
+    # one stacked check per window, and a mismatch rolls back to the last
+    # verified checkpoint and re-executes deterministically — with ticket
+    # outcomes and round history bit-identical to the scalar round loop.
+    service = CSMService(protocol)
     alice = service.connect("alice")
     bob = service.connect("bob")
 

@@ -291,12 +291,18 @@ class CodedExecutionEngine(BatchExecutionMixin):
             )
         batch_arr = self._validate_batch(commands_batch)
         batch_eval = getattr(self.machine.transition, "evaluate_result_vectors", None)
-        if self.decode_at_every_node or batch_eval is None or self.freeze_on_failure:
+        if (
+            self.decode_at_every_node
+            or batch_eval is None
+            or (self.freeze_on_failure and self.num_faulty)
+        ):
             # Per-recipient decoding models equivocation, non-polynomial
             # transitions have no stacked surface to speculate over, and
             # freeze-on-failure contradicts speculation (which eagerly
-            # advances state every round): in all three cases the
-            # batched/scalar path runs unchanged.
+            # advances state every round) once a faulty node can make a
+            # round fail: in all three cases the batched/scalar path runs
+            # unchanged.  With every node honest no round can fail, so
+            # freezing is a no-op and speculation stays exact.
             return self.execute_rounds(batch_arr)
         coded_commands = self.encoder.encode_batch(batch_arr)
         num_rounds = batch_arr.shape[0]

@@ -43,9 +43,10 @@ class CSMProtocol(RoundProtocol):
     The preferred client surface is the session/ticket API of
     :class:`~repro.service.service.CSMService`, which accepts ragged command
     streams and drives this protocol through the shared
-    :class:`~repro.rounds.RoundProtocol` interface; the lockstep entry
-    points below (``submit_round_of_commands`` + ``run_rounds*``) remain as
-    thin wrappers with their original bit-exact semantics.
+    :class:`~repro.rounds.RoundProtocol` interface.  The lockstep entry
+    points below (``submit_round_of_commands`` + ``run_round``/``run_rounds``)
+    are the scalar reference oracle that :meth:`run_rounds_batched` is
+    bit-identical to.
     """
 
     def __init__(
@@ -83,7 +84,7 @@ class CSMProtocol(RoundProtocol):
                 self.network, self.node_ids, self.pool, self.behaviors, self.rng
             )
         # ``vectorised_consensus`` selects the message-plane fast path for
-        # batched/pipelined round drivers (decisions, rng stream, counters
+        # the batched round driver (decisions, rng stream, counters
         # and delivery log are bit-identical either way); False pins the
         # event-driven oracle, which then advances
         # ``consensus_fast_path_disabled`` for observability.
@@ -95,9 +96,6 @@ class CSMProtocol(RoundProtocol):
         # B rounds) sees exactly the same draws as the sequential
         # round-by-round interleaving — the basis of the bit-identity
         # guarantee of :meth:`run_rounds_batched`.
-        #: Verification-window depth run_rounds_pipelined uses when the call
-        #: does not pass one explicitly (services configure it here).
-        self.pipeline_verify_window = 16
         engine_rng = derived_stream(self.rng)
         self.engine = CodedExecutionEngine(
             config,
@@ -164,89 +162,29 @@ class CSMProtocol(RoundProtocol):
         command_batches: Sequence[np.ndarray],
         client_rounds: Sequence[Sequence[str]] | None = None,
     ) -> list[ProtocolRound]:
-        """Run ``B`` full rounds through the batched pipeline.
+        """Run ``B`` full rounds: batched consensus, then pipelined execution.
 
-        The batched path decides all ``B`` rounds through the consensus
-        protocol's :meth:`decide_rounds` fast path (broadcast delivery
-        amortised via :meth:`SimulatedNetwork.deliver_all`; each round's
-        commands are submitted just before its consensus round, exactly as
-        clients would), and feeds the agreed command matrix straight into
-        :meth:`CodedExecutionEngine.execute_rounds` — one encode matrix
-        product and suspect-learning decode for the whole batch.
+        Consensus decides all ``B`` rounds through the consensus protocol's
+        :meth:`decide_rounds` fast path (each round's commands are submitted
+        just before its consensus round, exactly as clients would), and the
+        agreed command matrix feeds
+        :meth:`CodedExecutionEngine.execute_rounds_pipelined`.  The engine
+        speculates when it can (overlapping the verified decode of round
+        ``t`` with the execution of round ``t + 1``) and runs the plain
+        :meth:`~CodedExecutionEngine.execute_rounds` body when
+        ``decode_at_every_node``, a non-polynomial transition, or frozen
+        failed rounds (:meth:`freeze_failed_rounds`) with a faulty node
+        present rule speculation out.
 
         ``client_rounds[b][k]`` names the client submitting machine ``k``'s
         command in round ``b`` — the session/ticket service passes its real
-        client identities here.  Without it, this call is the **legacy
-        lockstep wrapper**: it routes through
-        :meth:`~repro.service.service.CSMService.run_lockstep`, which
-        reproduces the historical ``client:k`` labels, so the recorded
-        :class:`ProtocolRound` history (commands, clients, consensus views,
-        outputs, states, correctness flags, flagged error nodes) stays
-        bit-identical to calling :meth:`run_rounds` on an
-        identically-constructed protocol; only the operation/message
+        client identities here; without it the legacy ``client:k`` labels
+        are used.  The recorded :class:`ProtocolRound` history (commands,
+        clients, consensus views, outputs, states, correctness flags,
+        flagged error nodes) is bit-identical to calling :meth:`run_rounds`
+        on an identically-constructed protocol; only the operation/message
         *counts* drop, which is precisely what the batch buys.
         """
-        if client_rounds is None:
-            # Deferred import: repro.service drives this protocol and would
-            # otherwise import-cycle with this module.  run_lockstep
-            # canonicalises every batch before submitting anything, so the
-            # fail-fast contract holds without validating twice here.
-            from repro.service import CSMService
-
-            return CSMService.run_lockstep(self, command_batches)
-        return self._run_rounds_fast(command_batches, client_rounds, pipelined=False)
-
-    def run_rounds_pipelined(
-        self,
-        command_batches: Sequence[np.ndarray],
-        client_rounds: Sequence[Sequence[str]] | None = None,
-        verify_window: int | None = None,
-    ) -> list[ProtocolRound]:
-        """Run ``B`` rounds with the speculative decode/execute pipeline.
-
-        Consensus is decided exactly as in :meth:`run_rounds_batched`; the
-        execution phase runs through
-        :meth:`CodedExecutionEngine.execute_rounds_pipelined`, which
-        overlaps the verified decode of round ``t`` with the execution of
-        round ``t + 1`` (speculative pivot interpolation now, stacked
-        re-encode verification per window, checkpoint/rollback on a
-        mismatch).  The recorded :class:`ProtocolRound` history, the
-        delivered outputs and the failed-round accounting are bit-identical
-        to the batched path (property-tested, including mid-batch fault
-        onset); only the execution-phase operation counts drop.
-
-        ``verify_window`` defaults to :attr:`pipeline_verify_window`; the
-        legacy no-client form honours an explicit value by pinning that
-        attribute for the duration of the lockstep drive.
-        """
-        if verify_window is None:
-            verify_window = self.pipeline_verify_window
-        if client_rounds is None:
-            from repro.service import CSMService
-
-            saved_window = self.pipeline_verify_window
-            self.pipeline_verify_window = verify_window
-            try:
-                return CSMService.run_lockstep(
-                    self, command_batches, pipeline=True
-                )
-            finally:
-                self.pipeline_verify_window = saved_window
-        return self._run_rounds_fast(
-            command_batches,
-            client_rounds,
-            pipelined=True,
-            verify_window=verify_window,
-        )
-
-    def _run_rounds_fast(
-        self,
-        command_batches: Sequence[np.ndarray],
-        client_rounds: Sequence[Sequence[str]],
-        pipelined: bool,
-        verify_window: int = 16,
-    ) -> list[ProtocolRound]:
-        """Consensus + execution shared by the batched and pipelined drivers."""
         # Canonicalise every batch before any consensus runs: a malformed
         # batch must fail fast, not discard earlier rounds the consensus
         # already decided (shape validation is pure, so this cannot perturb
@@ -254,27 +192,26 @@ class CSMProtocol(RoundProtocol):
         batches = [self.pool.canonical_round(batch) for batch in command_batches]
         if not batches:
             return []
+        if client_rounds is None:
+            client_rounds = [
+                [f"client:{k}" for k in range(self.num_machines)] for _ in batches
+            ]
         if len(client_rounds) != len(batches):
             raise ConfigurationError(
                 f"{len(batches)} command rounds but {len(client_rounds)} client "
                 "rounds"
             )
-        first_round = len(self.history)
         per_round_decisions = self.consensus.decide_rounds(
-            first_round,
+            len(self.history),
             len(batches),
             prepare_round=lambda offset: self._submit_round(
                 batches[offset], client_rounds[offset]
             ),
         )
         samples = [self._select_decision(d) for d in per_round_decisions]
-        commands_matrix = np.stack([sample.commands for sample in samples])
-        if pipelined:
-            results = self.engine.execute_rounds_pipelined(
-                commands_matrix, verify_window=verify_window
-            )
-        else:
-            results = self.engine.execute_rounds(commands_matrix)
+        results = self.engine.execute_rounds_pipelined(
+            np.stack([sample.commands for sample in samples])
+        )
         return [
             self._record_round(sample.commands, sample.clients, result, sample.view)
             for sample, result in zip(samples, results)

@@ -356,7 +356,6 @@ def protocol_rows(
     rounds: int = 4,
     batched_protocol: bool = True,
     service: bool = False,
-    pipelined: bool = False,
     vectorised_consensus: bool = True,
 ) -> list[dict]:
     """End-to-end CSMProtocol cost per network size: consensus + execution.
@@ -365,14 +364,11 @@ def protocol_rows(
     directly), this sweep runs the *full* protocol — client submission,
     consensus, network simulation, coded execution, verified delivery.
     ``batched_protocol`` selects :meth:`CSMProtocol.run_rounds_batched`
-    (consensus ``decide_rounds`` over the bulk delivery path + one
-    ``execute_rounds`` batch); ``batched_protocol=False`` runs the sequential
-    ``run_round`` loop.  ``service=True`` submits the same traffic through
+    (consensus ``decide_rounds`` + one speculative ``execute_rounds_pipelined``
+    batch); ``batched_protocol=False`` runs the sequential ``run_round``
+    loop.  ``service=True`` submits the same traffic through
     :class:`~repro.service.service.CSMService` sessions and lets the round
     scheduler drain it into batches (the production client path).
-    ``pipelined=True`` executes through the speculative pipeline —
-    :meth:`CSMProtocol.run_rounds_pipelined` directly, or
-    ``CSMService(pipeline=True)`` when combined with ``service``.
     ``vectorised_consensus=False`` pins the event-driven consensus oracle
     instead of the message-plane fast path.  The recorded round histories
     are bit-identical across all modes.
@@ -394,18 +390,13 @@ def protocol_rows(
         ]
         start = wall_clock()
         if service:
-            mode = "service-pipelined" if pipelined else "service"
-            svc = CSMService(
-                protocol, max_batch_rounds=rounds, min_fill=k, pipeline=pipelined
-            )
+            mode = "service"
+            svc = CSMService(protocol, max_batch_rounds=rounds, min_fill=k)
             sessions = [svc.connect(f"client:{i}") for i in range(k)]
             for batch in batches:
                 for i in range(k):
                     sessions[i].submit(i, batch[i])
             svc.drain()
-        elif pipelined:
-            mode = "pipelined"
-            protocol.run_rounds_pipelined(batches)
         elif batched_protocol:
             mode = "batched"
             protocol.run_rounds_batched(batches)
@@ -783,7 +774,7 @@ def run(**kwargs) -> dict:
             "network_sizes", "fault_fraction", "seed", "rounds", "batched")}),
         "protocol": protocol_rows(**{k: v for k, v in kwargs.items() if k in (
             "network_sizes", "fault_fraction", "seed", "rounds", "batched_protocol",
-            "service", "pipelined", "vectorised_consensus")}),
+            "service", "vectorised_consensus")}),
         "consensus": consensus_rows(**{k: v for k, v in kwargs.items() if k in (
             "network_sizes", "fault_fraction", "seed", "rounds")}),
         "pipelined": pipelined_rows(**{k: v for k, v in kwargs.items() if k in (

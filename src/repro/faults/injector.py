@@ -1,6 +1,6 @@
 """Applies a :class:`~repro.faults.schedule.FaultSchedule` to a round backend.
 
-The injector sits between the service's round runner and the backend: it
+The injector sits between the service and the round backend: it
 splits every driven batch at the schedule's event boundaries so each
 executed segment sees a constant fault state, applies the due events at
 each boundary (behaviour swaps, crash/recover with state transfer, link
@@ -17,7 +17,7 @@ schedule is bit-identical to running without the injector.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,17 +76,15 @@ class FaultInjector:
     # -- driving ------------------------------------------------------------------------
     def run(
         self,
-        runner: Callable[..., list],
         command_batches: Sequence[np.ndarray],
         client_rounds: Sequence[Sequence[str]] | None = None,
     ) -> list:
-        """Run ``command_batches`` through ``runner``, injecting due events.
+        """Run ``command_batches`` through the backend, injecting due events.
 
-        ``runner`` is the backend's batch entry point
-        (``run_rounds_batched`` or ``run_rounds_pipelined``).  The batch is
-        split at every pending event's round so events fire exactly at their
-        round boundary; segments between boundaries run unbroken, keeping
-        the backend's own batching (and its vectorised paths) intact.
+        The batch is split at every pending event's round so events fire
+        exactly at their round boundary; each segment between boundaries
+        runs unbroken through ``backend.run_rounds_batched``, keeping the
+        backend's own batching (and its vectorised paths) intact.
         """
         first = len(self.backend.history)
         total = len(command_batches)
@@ -105,7 +103,9 @@ class FaultInjector:
                 None if client_rounds is None else client_rounds[start:end]
             )
             records.extend(
-                runner(command_batches[start:end], client_rounds=segment_clients)
+                self.backend.run_rounds_batched(
+                    command_batches[start:end], client_rounds=segment_clients
+                )
             )
             start = end
         return records

@@ -90,24 +90,6 @@ class RoundProtocol(ABC):
         :class:`ProtocolRound` records.
         """
 
-    def run_rounds_pipelined(
-        self,
-        command_batches: Sequence[np.ndarray],
-        client_rounds: Sequence[Sequence[str]] | None = None,
-    ) -> list[ProtocolRound]:
-        """Execute ``B`` rounds with speculative decode/execute pipelining.
-
-        Backends with a speculative fast path (the coded
-        :class:`~repro.core.protocol.CSMProtocol`) override this to overlap
-        the verified decode of round ``t`` with the execution of round
-        ``t + 1``; the recorded history must stay bit-identical to
-        :meth:`run_rounds_batched`.  The default simply delegates to the
-        batched path, so replication baselines and other backends satisfy
-        the contract trivially and the service layer can request
-        ``pipeline=True`` against any backend.
-        """
-        return self.run_rounds_batched(command_batches, client_rounds)
-
     def freeze_failed_rounds(self) -> None:
         """Ask the backend to leave state unadvanced when a round fails.
 

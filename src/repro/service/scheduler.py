@@ -32,12 +32,10 @@ machine's pending queue and dequeues whichever entry it picks — weighted
 fair shares across sessions, priority lanes.  With ``selector=None`` (the
 default) the original FIFO fast path runs unchanged, bit-identically.
 
-The scheduler only *plans* rounds; how they execute is the service's call.
-With ``CSMService(pipeline=True)`` each planned batch runs through the
-backend's speculative decode/execute pipeline
-(:meth:`~repro.rounds.RoundProtocol.run_rounds_pipelined`), so overlapping
-scheduler ticks spend less wall-clock per batch while every planned round
-resolves to the bit-identical history and ticket outcomes.
+The scheduler only *plans* rounds; the service hands each planned batch to
+the backend's :meth:`~repro.rounds.RoundProtocol.run_rounds_batched`, which
+for the coded backend speculates over the batch whenever it can while every
+planned round resolves to the bit-identical history and ticket outcomes.
 """
 
 from __future__ import annotations

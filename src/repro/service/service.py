@@ -34,8 +34,6 @@ the open-loop traffic harness (:mod:`repro.service.traffic`).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.consensus.command_pool import CommandPool, SequenceAllocator
@@ -117,13 +115,6 @@ class CSMService:
         Optional shared :class:`~repro.consensus.command_pool.\
 SequenceAllocator` for the ingress pool — the sharded façade passes one
         allocator to every shard so ticket sequences stay globally unique.
-    pipeline:
-        When True, :meth:`drive` runs each tick's batches through the
-        backend's :meth:`~repro.rounds.RoundProtocol.run_rounds_pipelined`
-        (the speculative decode/execute overlap) instead of the plain
-        batched path.  The recorded history and every ticket outcome are
-        bit-identical either way; overlapping scheduler ticks simply spend
-        less wall-clock in the execution phase.
     qos:
         Optional :class:`~repro.service.qos.QosPolicy`.  ``None`` (or a
         default-constructed, disabled policy) reproduces today's behaviour
@@ -157,7 +148,6 @@ SequenceAllocator` for the ingress pool — the sharded façade passes one
         min_fill: int = 1,
         max_wait_ticks: int | None = RoundScheduler.DEFAULT_MAX_WAIT_TICKS,
         sequence_source: SequenceAllocator | None = None,
-        pipeline: bool = False,
         qos: QosPolicy | None = None,
         clock: LogicalClock | None = None,
         retry: RetryPolicy | None = None,
@@ -192,7 +182,6 @@ SequenceAllocator` for the ingress pool — the sharded façade passes one
                 "nor a FaultInjector"
             )
         self.backend = backend
-        self.pipeline = bool(pipeline)
         self.qos = qos
         self.retry = retry
         if (retry is not None and retry.enabled) or self.fault_injector is not None:
@@ -200,8 +189,10 @@ SequenceAllocator` for the ingress pool — the sharded façade passes one
             # retry must replay against the same state, and an injected
             # fault burst must not desync the honest coded rows from the
             # reference states (which would leave every post-burst round
-            # undecodable).  With no failed rounds this is a no-op, so the
-            # empty-schedule path stays bit-identical.
+            # undecodable).  With no failed rounds the history is unchanged,
+            # and while every node is honest the coded engine keeps
+            # speculating, so the empty-schedule path stays bit-identical
+            # down to the operation counts.
             backend.freeze_failed_rounds()
         self._owns_clock = clock is None
         self.clock = clock if clock is not None else LogicalClock()
@@ -342,18 +333,15 @@ SequenceAllocator` for the ingress pool — the sharded façade passes one
         planned = self.scheduler.plan(flush=flush)
         if not planned:
             return []
-        runner = (
-            self.backend.run_rounds_pipelined
-            if self.pipeline
-            else self.backend.run_rounds_batched
-        )
         try:
             commands = [round_.commands for round_ in planned]
             clients = [round_.clients for round_ in planned]
             if self.fault_injector is not None:
-                records = self.fault_injector.run(runner, commands, clients)
+                records = self.fault_injector.run(commands, clients)
             else:
-                records = runner(commands, client_rounds=clients)
+                records = self.backend.run_rounds_batched(
+                    commands, client_rounds=clients
+                )
         except Exception as exc:
             for round_ in planned:
                 self._fail_round(
@@ -401,53 +389,6 @@ SequenceAllocator` for the ingress pool — the sharded façade passes one
                     "retry backlog cannot wait out its backoff on a shared "
                     "clock; drain through the owning facade instead"
                 )
-        return records
-
-    # -- legacy lockstep wrapper --------------------------------------------------------
-    @classmethod
-    def run_lockstep(
-        cls,
-        backend: RoundProtocol,
-        command_batches: Sequence[np.ndarray],
-        client_prefix: str = "client",
-        pipeline: bool = False,
-    ) -> list[ProtocolRound]:
-        """Drive pre-grouped one-command-per-machine rounds through a service.
-
-        This is the compatibility shape of the pre-service API
-        (``submit_round_of_commands`` + ``run_rounds_batched``): batch ``b``
-        row ``k`` is submitted by session ``{client_prefix}:{k}`` and the
-        scheduler — pinned to full rounds — reproduces exactly one round per
-        batch, in order, with the legacy client labels.  ``pipeline`` routes
-        the drive through the backend's speculative pipelined path (same
-        history, lower execution cost).
-        """
-        if not len(command_batches):
-            return []
-        service = cls(
-            backend,
-            max_batch_rounds=len(command_batches),
-            min_fill=backend.num_machines,
-            pipeline=pipeline,
-        )
-        # Canonicalise every batch before any submission: a malformed batch
-        # must fail fast, before consensus sees any of the rounds.
-        batches = [
-            service.pool.canonical_round(batch) for batch in command_batches
-        ]
-        sessions = [
-            service.connect(f"{client_prefix}:{k}")
-            for k in range(backend.num_machines)
-        ]
-        for batch in batches:
-            for k, session in enumerate(sessions):
-                session.submit(k, batch[k])
-        records = service.drive()
-        if len(records) != len(batches):  # pragma: no cover - defensive
-            raise ServiceError(
-                f"lockstep drive produced {len(records)} rounds for "
-                f"{len(batches)} batches"
-            )
         return records
 
     # -- internals ----------------------------------------------------------------------

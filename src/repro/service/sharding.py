@@ -136,11 +136,6 @@ class ShardedCSMService:
     tick_mode:
         ``"all"`` (default) drives every shard on each :meth:`drive` tick;
         ``"round_robin"`` drives one shard per tick, cycling in shard order.
-    pipeline:
-        Forwarded to each shard's :class:`~repro.service.service.CSMService`:
-        every shard tick then runs through its backend's speculative
-        pipelined path (``run_rounds_pipelined``), with per-shard histories
-        bit-identical to the batched drive.
     qos:
         Optional :class:`~repro.service.qos.QosPolicy`, forwarded to every
         shard.  ``admission_watermark`` and the selection policy apply
@@ -168,7 +163,6 @@ class ShardedCSMService:
         min_fill: int = 1,
         max_wait_ticks: int | None = RoundScheduler.DEFAULT_MAX_WAIT_TICKS,
         tick_mode: str = "all",
-        pipeline: bool = False,
         qos: QosPolicy | None = None,
         retry: RetryPolicy | None = None,
         faults: FaultSchedule | Mapping[int, FaultSchedule] | None = None,
@@ -208,7 +202,6 @@ class ShardedCSMService:
                         f"there are only {len(backends)} shards"
                     )
         self.tick_mode = tick_mode
-        self.pipeline = bool(pipeline)
         self.qos = qos
         self.retry = retry
         self.degraded_after = int(degraded_after)
@@ -226,7 +219,6 @@ class ShardedCSMService:
                 min_fill=min(int(min_fill), backend.num_machines),
                 max_wait_ticks=max_wait_ticks,
                 sequence_source=self.sequence_source,
-                pipeline=self.pipeline,
                 qos=qos,
                 clock=self.clock,
                 retry=retry,

@@ -1,20 +1,25 @@
-"""Property tests for the speculative decode/execute pipeline.
+"""Speculative-engine selection and rollback through ``run_rounds_batched``.
 
-:meth:`CSMProtocol.run_rounds_pipelined` advances honest state from a
-pivot-only speculative interpolation and defers the full error-locating
-verification to a stacked per-window check, rolling back and re-executing
-when speculation is invalidated — yet the recorded :class:`ProtocolRound`
-history, the delivered outputs, the failure accounting *and the learnt
-suspect set* must agree bit for bit with :meth:`run_rounds_batched`, across
-network models, verification windows and fault patterns — including a node
-that turns Byzantine mid-batch (the rollback path's worst case: the decoder
-trusted it as a pivot until its first bad round).
+:meth:`CSMProtocol.run_rounds_batched` always hands its agreed command
+matrix to :meth:`CodedExecutionEngine.execute_rounds_pipelined`, which
+speculates when it can and otherwise runs the plain ``execute_rounds`` body.
+These tests pin which body runs; that the speculative engine agrees bit for
+bit with the plain ``execute_rounds`` body — round results, the learnt
+suspect set and the nodes' coded states — across verification windows and
+fault patterns; and that its rollback path, when a pivot node turns
+Byzantine mid-batch, leaves the recorded history, the delivered outputs and
+the failure accounting bit-identical to the scalar ``run_rounds`` oracle.
+The protocol-level randomised sweep over network models lives in
+``test_protocol_bit_identity.py``.
 """
+
+import copy
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import CSMConfig
+from repro.core.execution import CodedExecutionEngine
 from repro.core.protocol import CSMProtocol
 from repro.exceptions import ConfigurationError
 from repro.gf.prime_field import PrimeField
@@ -26,6 +31,7 @@ from repro.net.byzantine import (
     RandomGarbageBehavior,
     SilentBehavior,
 )
+from repro.service import CSMService, TicketState
 
 FIELD = PrimeField()
 
@@ -60,42 +66,45 @@ def _largest_valid_config(
     return None
 
 
-def _assert_bit_identical(batched: CSMProtocol, pipelined: CSMProtocol) -> None:
-    assert len(batched.history) == len(pipelined.history)
-    for bat, pip in zip(batched.history, pipelined.history):
-        assert bat.round_index == pip.round_index
-        assert np.array_equal(bat.commands, pip.commands)
-        assert bat.clients == pip.clients
-        assert bat.consensus_views == pip.consensus_views
-        assert np.array_equal(bat.result.outputs, pip.result.outputs)
-        assert np.array_equal(bat.result.states, pip.result.states)
-        assert bat.result.correct == pip.result.correct
+def _assert_matches_oracle(oracle: CSMProtocol, batched: CSMProtocol) -> None:
+    assert len(oracle.history) == len(batched.history)
+    for ref, bat in zip(oracle.history, batched.history):
+        assert ref.round_index == bat.round_index
+        assert np.array_equal(ref.commands, bat.commands)
+        assert ref.clients == bat.clients
+        assert ref.consensus_views == bat.consensus_views
+        assert np.array_equal(ref.result.outputs, bat.result.outputs)
+        assert np.array_equal(ref.result.states, bat.result.states)
+        assert ref.result.correct == bat.result.correct
         assert (
-            bat.result.diagnostics["error_nodes"]
-            == pip.result.diagnostics["error_nodes"]
+            ref.result.diagnostics["error_nodes"]
+            == bat.result.diagnostics["error_nodes"]
         )
     # Client-facing state agrees: delivered outputs and failure book-keeping.
-    assert set(batched.delivered_outputs) == set(pipelined.delivered_outputs)
-    for client, outputs in batched.delivered_outputs.items():
-        assert len(outputs) == len(pipelined.delivered_outputs[client])
-        for a, b in zip(outputs, pipelined.delivered_outputs[client]):
+    assert set(oracle.delivered_outputs) == set(batched.delivered_outputs)
+    for client, outputs in oracle.delivered_outputs.items():
+        assert len(outputs) == len(batched.delivered_outputs[client])
+        for a, b in zip(outputs, batched.delivered_outputs[client]):
             assert np.array_equal(a, b)
-    assert batched.failed_deliveries == pipelined.failed_deliveries
-    assert batched.failed_rounds == pipelined.failed_rounds
-    # The decoder's learnt suspect set — which steers every later pivot
-    # choice — must come out identical as well.
-    assert batched.engine._suspects == pipelined.engine._suspects
-    # And so must the nodes' coded states, so subsequent calls stay aligned.
-    for bat_node, pip_node in zip(batched.engine.nodes, pipelined.engine.nodes):
-        assert np.array_equal(
-            bat_node.storage.coded_state, pip_node.storage.coded_state
-        )
+    assert oracle.failed_deliveries == batched.failed_deliveries
+    assert oracle.failed_rounds == batched.failed_rounds
+
+
+def _commands(seed: int, rounds: int, num_machines: int, command_dim: int):
+    command_rng = np.random.default_rng(seed)
+    return [
+        command_rng.integers(1, 1000, size=(num_machines, command_dim))
+        for _ in range(rounds)
+    ]
 
 
 class TestPipelinedProtocolBitIdentity:
     @relaxed
     @given(data=st.data())
     def test_history_matches_batched_path(self, data):
+        """The speculative engine, at any verification window, returns the
+        plain batched body's round results and leaves the same learnt
+        suspect set and honest coded states behind."""
         partially_synchronous = data.draw(st.booleans(), label="psync")
         num_nodes = data.draw(st.sampled_from([6, 9, 10, 12]), label="N")
         quadratic = data.draw(st.booleans(), label="quadratic")
@@ -127,38 +136,53 @@ class TestPipelinedProtocolBitIdentity:
                 data.draw(st.integers(0, len(BEHAVIOR_FACTORIES) - 1))
             ]()
             if data.draw(st.booleans(), label=f"onset-{index}"):
-                behaviors[f"node-{index}"] = FaultOnsetBehavior(
+                inner = FaultOnsetBehavior(
                     inner, data.draw(st.integers(0, num_rounds), label=f"round-{index}")
                 )
-            else:
-                behaviors[f"node-{index}"] = inner
+            behaviors[f"node-{index}"] = inner
         verify_window = data.draw(st.sampled_from([1, 2, 3, 5, 16]), label="window")
-        command_rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-        batches = [
-            command_rng.integers(
-                1, 1000, size=(config.num_machines, machine.command_dim)
+        batch = np.stack(
+            _commands(
+                data.draw(st.integers(0, 2**31)),
+                num_rounds,
+                config.num_machines,
+                machine.command_dim,
             )
-            for _ in range(num_rounds)
-        ]
-
-        import copy
-
-        batched = CSMProtocol(
-            config, machine, copy.deepcopy(behaviors), rng=np.random.default_rng(5)
         )
-        pipelined = CSMProtocol(
-            config, machine, copy.deepcopy(behaviors), rng=np.random.default_rng(5)
+
+        def engine() -> CodedExecutionEngine:
+            return CodedExecutionEngine(
+                config,
+                machine,
+                behaviors=copy.deepcopy(behaviors),
+                rng=np.random.default_rng(5),
+            )
+
+        batched, pipelined = engine(), engine()
+        batched_results = batched.execute_rounds(batch)
+        pipelined_results = pipelined.execute_rounds_pipelined(
+            batch, verify_window=verify_window
         )
-        batched.run_rounds_batched(batches)
-        pipelined.run_rounds_pipelined(batches, verify_window=verify_window)
-        _assert_bit_identical(batched, pipelined)
+        assert len(batched_results) == len(pipelined_results) == num_rounds
+        for bat, pip in zip(batched_results, pipelined_results):
+            assert np.array_equal(bat.outputs, pip.outputs)
+            assert np.array_equal(bat.states, pip.states)
+            assert bat.correct == pip.correct
+            assert bat.diagnostics["error_nodes"] == pip.diagnostics["error_nodes"]
+        # The decoder's learnt suspect set — which steers every later pivot
+        # choice — must come out identical as well.
+        assert batched._suspects == pipelined._suspects
+        # And so must the nodes' coded states, so subsequent calls stay aligned.
+        for bat_node, pip_node in zip(batched.nodes, pipelined.nodes):
+            assert np.array_equal(
+                bat_node.storage.coded_state, pip_node.storage.coded_state
+            )
+        assert np.array_equal(batched.states, pipelined.states)
 
     def test_mid_batch_onset_triggers_rollback_and_stays_identical(self):
         """A pivot node turning Byzantine mid-batch must invalidate in-flight
         speculation (observable as a rollback + replay in the diagnostics)
-        and still leave history, outputs and suspects bit-identical."""
-        import copy
-
+        and still leave history and outputs bit-identical to the oracle."""
         machine = bank_account_machine(FIELD, num_accounts=2)
         config = CSMConfig(
             FIELD, num_nodes=12, num_machines=3, degree=machine.degree, num_faults=2
@@ -168,36 +192,56 @@ class TestPipelinedProtocolBitIdentity:
             "node-0": FaultOnsetBehavior(RandomGarbageBehavior(), onset_round=3),
             "node-1": FaultOnsetBehavior(CorruptResultBehavior(offset=9), onset_round=5),
         }
-        command_rng = np.random.default_rng(17)
-        batches = [
-            command_rng.integers(1, 1000, size=(3, machine.command_dim))
-            for _ in range(10)
-        ]
+        batches = _commands(17, 10, 3, machine.command_dim)
+        oracle = CSMProtocol(
+            config, machine, copy.deepcopy(behaviors), rng=np.random.default_rng(5)
+        )
         batched = CSMProtocol(
             config, machine, copy.deepcopy(behaviors), rng=np.random.default_rng(5)
         )
-        pipelined = CSMProtocol(
-            config, machine, copy.deepcopy(behaviors), rng=np.random.default_rng(5)
-        )
+        oracle.run_rounds(batches)
         batched.run_rounds_batched(batches)
-        pipelined.run_rounds_pipelined(batches, verify_window=16)
-        _assert_bit_identical(batched, pipelined)
+        _assert_matches_oracle(oracle, batched)
         speculation = [
             record.result.diagnostics.get("speculation")
-            for record in pipelined.history
+            for record in batched.history
         ]
         assert "rollback" in speculation  # the onset round was re-resolved
         assert speculation.count("confirmed") >= 1  # speculation still paid off
-        assert 0 in pipelined.engine._suspects
-        assert 1 in pipelined.engine._suspects
+        assert 0 in batched.engine._suspects
+        assert 1 in batched.engine._suspects
 
-    def test_service_pipeline_flag_preserves_ticket_outcomes(self):
-        """CSMService(pipeline=True) must resolve every ticket exactly as the
-        batched drive does, onset faults included."""
-        import copy
+    def test_engine_speculates_only_where_it_is_exact(self):
+        """A plain protocol speculates; frozen failed rounds with a faulty
+        node present, and per-node decoding, run the plain body instead."""
+        machine = bank_account_machine(FIELD, num_accounts=2)
+        config = CSMConfig(
+            FIELD, num_nodes=10, num_machines=3, degree=machine.degree, num_faults=1
+        )
+        behaviors = {"node-9": RandomGarbageBehavior()}
+        batches = _commands(29, 4, 3, machine.command_dim)
 
-        from repro.service import CSMService
+        def speculated(behaviors, freeze=False, **kwargs):
+            protocol = CSMProtocol(
+                config, machine, behaviors, rng=np.random.default_rng(5), **kwargs
+            )
+            if freeze:
+                protocol.freeze_failed_rounds()
+            records = protocol.run_rounds_batched(batches)
+            assert protocol.all_rounds_correct
+            return [record.result.diagnostics.get("pipelined", False) for record in records]
 
+        assert all(speculated(dict(behaviors)))
+        assert not any(speculated(dict(behaviors), freeze=True))
+        assert not any(speculated(dict(behaviors), decode_at_every_node=True))
+        # With every node honest no round can fail, so freezing is a no-op and
+        # the engine keeps speculating.
+        assert all(speculated({}, freeze=True))
+
+    def test_service_drive_matches_scalar_oracle_under_onset(self):
+        """The service's scheduler ticks run the same speculative engine:
+        every ticket resolves exactly as the oracle's round did, onset
+        faults included."""
         machine = bank_account_machine(FIELD, num_accounts=2)
         config = CSMConfig(
             FIELD, num_nodes=10, num_machines=3, degree=machine.degree, num_faults=1
@@ -205,30 +249,25 @@ class TestPipelinedProtocolBitIdentity:
         behaviors = {
             "node-2": FaultOnsetBehavior(RandomGarbageBehavior(), onset_round=2)
         }
-        command_rng = np.random.default_rng(23)
-        batches = [
-            command_rng.integers(1, 1000, size=(3, machine.command_dim))
-            for _ in range(6)
-        ]
-
-        def run(pipeline: bool):
-            protocol = CSMProtocol(
-                config, machine, copy.deepcopy(behaviors), rng=np.random.default_rng(5)
-            )
-            service = CSMService(
-                protocol, max_batch_rounds=6, min_fill=3, pipeline=pipeline
-            )
-            sessions = [service.connect(f"client:{k}") for k in range(3)]
-            for batch in batches:
-                for k in range(3):
-                    sessions[k].submit(k, batch[k])
-            service.drain()
-            return protocol, service
-
-        batched_protocol, batched_service = run(False)
-        pipelined_protocol, pipelined_service = run(True)
-        _assert_bit_identical(batched_protocol, pipelined_protocol)
-        for bat, pip in zip(batched_service.tickets(), pipelined_service.tickets()):
-            assert bat.sequence == pip.sequence
-            assert bat.state is pip.state
-            assert bat.machine_index == pip.machine_index
+        batches = _commands(23, 6, 3, machine.command_dim)
+        oracle = CSMProtocol(
+            config, machine, copy.deepcopy(behaviors), rng=np.random.default_rng(5)
+        )
+        oracle.run_rounds(batches)
+        served = CSMProtocol(
+            config, machine, copy.deepcopy(behaviors), rng=np.random.default_rng(5)
+        )
+        service = CSMService(served, max_batch_rounds=6, min_fill=3)
+        sessions = [service.connect(f"client:{k}") for k in range(3)]
+        for batch in batches:
+            for k in range(3):
+                sessions[k].submit(k, batch[k])
+        service.drain()
+        _assert_matches_oracle(oracle, served)
+        assert any(
+            record.result.diagnostics.get("pipelined") for record in served.history
+        )
+        for ticket in service.tickets():
+            record = oracle.history[ticket.round_index]
+            expected = TicketState.EXECUTED if record.correct else TicketState.FAILED
+            assert ticket.state is expected

@@ -1,13 +1,18 @@
 """Property tests for the batched protocol round path.
 
 :meth:`CSMProtocol.run_rounds_batched` takes a different route through every
-layer — consensus rounds decided through ``decide_rounds`` over the network's
-bulk delivery path, coded execution through the cached-matrix
-``execute_rounds`` pipeline with the stacked transition step — yet the
+layer — consensus rounds decided through ``decide_rounds`` over the
+vectorised message plane, coded execution through the speculative
+``execute_rounds_pipelined`` engine (pivot-only speculation, stacked
+per-window verification, rollback and replay on a mismatch) — yet the
 recorded :class:`ProtocolRound` history must agree *bit for bit* with the
-sequential ``run_round`` loop, across both network models and arbitrary
-admissible Byzantine fault patterns.
+scalar ``run_round`` loop, across both network models and arbitrary
+admissible Byzantine fault patterns, including nodes that turn Byzantine
+mid-batch (the rollback path's worst case: the decoder trusted them as
+pivots until their first bad round).
 """
+
+import copy
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,7 +24,9 @@ from repro.gf.prime_field import PrimeField
 from repro.machine.library import bank_account_machine, quadratic_market_machine
 from repro.net.byzantine import (
     CorruptResultBehavior,
+    DelayingBehavior,
     EquivocatingBehavior,
+    FaultOnsetBehavior,
     RandomGarbageBehavior,
     SilentBehavior,
 )
@@ -34,6 +41,7 @@ BEHAVIOR_FACTORIES = (
     RandomGarbageBehavior,
     SilentBehavior,
     EquivocatingBehavior,
+    DelayingBehavior,
     lambda: CorruptResultBehavior(offset=3),
 )
 
@@ -85,13 +93,19 @@ class TestBatchedProtocolBitIdentity:
             ),
             label="fault_indices",
         )
-        behaviors = {
-            f"node-{index}": BEHAVIOR_FACTORIES[
+        num_rounds = data.draw(st.integers(1, 6), label="rounds")
+        behaviors = {}
+        for index in fault_indices:
+            inner = BEHAVIOR_FACTORIES[
                 data.draw(st.integers(0, len(BEHAVIOR_FACTORIES) - 1))
             ]()
-            for index in fault_indices
-        }
-        num_rounds = data.draw(st.integers(1, 4), label="rounds")
+            if data.draw(st.booleans(), label=f"onset-{index}"):
+                # Honest until a mid-batch onset round: in-flight speculation
+                # that trusted the node as a pivot must roll back.
+                inner = FaultOnsetBehavior(
+                    inner, data.draw(st.integers(0, num_rounds), label=f"round-{index}")
+                )
+            behaviors[f"node-{index}"] = inner
         command_rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
         batches = [
             command_rng.integers(1, 1000, size=(config.num_machines, machine.command_dim))
@@ -99,10 +113,10 @@ class TestBatchedProtocolBitIdentity:
         ]
 
         sequential = CSMProtocol(
-            config, machine, dict(behaviors), rng=np.random.default_rng(5)
+            config, machine, copy.deepcopy(behaviors), rng=np.random.default_rng(5)
         )
         batched = CSMProtocol(
-            config, machine, dict(behaviors), rng=np.random.default_rng(5)
+            config, machine, copy.deepcopy(behaviors), rng=np.random.default_rng(5)
         )
         sequential_records = sequential.run_rounds(batches)
         batched_records = batched.run_rounds_batched(batches)

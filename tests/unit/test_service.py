@@ -383,61 +383,6 @@ class TestNoopCommands:
         assert not round_.any()
 
 
-class TestPipelineFlag:
-    def test_pipeline_drive_matches_batched_drive(self, big_field):
-        """pipeline=True must change only how the backend executes, not what
-        any ticket or history record contains."""
-        rng = np.random.default_rng(4)
-        batches = [rng.integers(1, 1000, size=(3, 2)) for _ in range(4)]
-
-        def run(pipeline):
-            protocol = _csm_protocol(big_field)
-            service = CSMService(
-                protocol, max_batch_rounds=4, min_fill=3, pipeline=pipeline
-            )
-            sessions = [service.connect(f"client:{k}") for k in range(3)]
-            for batch in batches:
-                for k in range(3):
-                    sessions[k].submit(k, batch[k])
-            service.drain()
-            return protocol, service
-
-        batched_protocol, batched_service = run(False)
-        pipelined_protocol, pipelined_service = run(True)
-        assert len(batched_protocol.history) == len(pipelined_protocol.history)
-        for bat, pip in zip(batched_protocol.history, pipelined_protocol.history):
-            np.testing.assert_array_equal(bat.commands, pip.commands)
-            assert bat.clients == pip.clients
-            np.testing.assert_array_equal(bat.result.outputs, pip.result.outputs)
-            assert bat.result.correct == pip.result.correct
-        for bat, pip in zip(batched_service.tickets(), pipelined_service.tickets()):
-            assert bat.sequence == pip.sequence and bat.state is pip.state
-
-    def test_pipeline_flag_works_on_replication_backends(self, big_field):
-        """Backends without a speculative path fall back to the batched drive
-        through the RoundProtocol default — same outcomes, no errors."""
-        service = CSMService(
-            _replication_backend(big_field), max_batch_rounds=2, pipeline=True
-        )
-        session = service.connect("alice")
-        ticket = session.submit(0, [5, 5])
-        service.drain()
-        assert ticket.state is TicketState.EXECUTED
-
-    def test_run_lockstep_pipeline_matches_default(self, big_field):
-        rng = np.random.default_rng(11)
-        batches = [rng.integers(1, 1000, size=(3, 2)) for _ in range(3)]
-        batched = CSMService.run_lockstep(_csm_protocol(big_field), batches)
-        pipelined = CSMService.run_lockstep(
-            _csm_protocol(big_field), batches, pipeline=True
-        )
-        for bat, pip in zip(batched, pipelined):
-            np.testing.assert_array_equal(bat.commands, pip.commands)
-            assert bat.clients == pip.clients
-            np.testing.assert_array_equal(bat.result.outputs, pip.result.outputs)
-            assert bat.result.correct == pip.result.correct
-
-
 class TestThrottledTicketEdges:
     def test_pending_to_throttled_is_legal_and_terminal(self):
         ticket = CommandTicket(

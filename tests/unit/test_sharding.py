@@ -287,40 +287,6 @@ class TestTickModes:
         )
 
 
-class TestShardedPipeline:
-    def test_pipeline_flag_forwarded_to_every_shard(self, big_field):
-        sharded = _sharded(big_field, pipeline=True)
-        assert sharded.pipeline
-        assert all(shard.pipeline for shard in sharded.shards)
-        assert not _sharded(big_field).pipeline
-
-    def test_pipelined_sharded_drive_matches_batched(self, big_field):
-        rng = np.random.default_rng(6)
-        commands = [rng.integers(1, 1000, size=(4, 2)) for _ in range(3)]
-
-        def run(pipeline):
-            backends = [_csm_backend(big_field, seed=3), _csm_backend(big_field, seed=4)]
-            service = ShardedCSMService(backends, max_batch_rounds=3, pipeline=pipeline)
-            sessions = [service.connect(f"client:{i}") for i in range(4)]
-            for round_commands in commands:
-                for i in range(4):
-                    sessions[i].submit(i, round_commands[i])
-                service.drive()
-            service.drain()
-            return service
-
-        batched = run(False)
-        pipelined = run(True)
-        assert len(batched.history) == len(pipelined.history)
-        for bat, pip in zip(batched.history, pipelined.history):
-            assert bat.shard_index == pip.shard_index
-            np.testing.assert_array_equal(bat.commands, pip.commands)
-            np.testing.assert_array_equal(bat.result.outputs, pip.result.outputs)
-            assert bat.result.correct == pip.result.correct
-        for bat, pip in zip(batched.tickets(), pipelined.tickets()):
-            assert bat.sequence == pip.sequence and bat.state is pip.state
-
-
 class TestShardHealth:
     """Per-shard health tracking: degradation, shedding, probe recovery."""
 
